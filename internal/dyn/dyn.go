@@ -155,7 +155,8 @@ type Probes struct {
 
 // System is a compiled transient model: the netlist flattened into
 // index-addressed slices so the stepper's hot loop is map-free and
-// allocation-free. Build with Compile.
+// allocation-free. Build with Compile. A System is read-only after
+// Compile, so concurrent Runs may share it.
 type System struct {
 	net      *netlist.Network
 	cap      []float64 // per-node hydraulic capacitance [m³/Pa]
@@ -163,7 +164,8 @@ type System struct {
 	species  Species
 
 	chFrom, chTo []int
-	chCond       []float64 // 1/R per channel
+	chCond       []float64      // 1/R per channel
+	g            *linalg.Matrix // channel conductance Laplacian
 
 	srcFrom, srcTo []int // netlist.External stays -1
 	srcFlow        []float64
@@ -223,6 +225,18 @@ func Compile(net *netlist.Network, nodeCap []float64, props []ChannelProps, prof
 		s.chFrom[i], s.chTo[i] = int(ch.From), int(ch.To)
 		s.chCond[i] = 1 / float64(ch.Resistance)
 	}
+	g, err := linalg.NewMatrix(nn, nn)
+	if err != nil {
+		return nil, fmt.Errorf("dyn: assembling %d-node conductance matrix: %w", nn, err)
+	}
+	for c, gc := range s.chCond {
+		f, t := s.chFrom[c], s.chTo[c]
+		g.Add(f, f, gc)
+		g.Add(t, t, gc)
+		g.Add(f, t, -gc)
+		g.Add(t, f, -gc)
+	}
+	s.g = g
 	for i := 0; i < ns; i++ {
 		src := net.Source(i)
 		s.srcFrom[i], s.srcTo[i] = int(src.From), int(src.To)
@@ -271,6 +285,10 @@ type Result struct {
 	Steps           int
 	RejectedSteps   int
 	CFLLimitedSteps int
+	// Factorizations counts the LU factorizations of the step system.
+	// Each is keyed on its exact step length and reused while that
+	// length recurs, so an attempted step costs at most two.
+	Factorizations int
 
 	FinalPressures      []float64 // per node [Pa]
 	FinalFlows          []float64 // per channel [m³/s]
@@ -361,15 +379,22 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 		col.Add("dyn.steps", int64(res.Steps))
 		col.Add("dyn.steps_rejected", int64(res.RejectedSteps))
 		col.Add("dyn.steps_cfl_limited", int64(res.CFLLimitedSteps))
+		col.Add("dyn.factorizations", int64(res.Factorizations))
 	}()
 
 	// State and scratch buffers — everything the loop touches is
 	// allocated here once.
 	p := make([]float64, nn)
 	conc := make([]float64, s.nCells)
+	ns := len(s.srcFlow)
 	st := &stepScratch{
 		q:        make([]float64, nc),
 		rhs:      make([]float64, nn),
+		x:        make([]float64, nn),
+		a:        s.g.Clone(),
+		srcNow:   make([]float64, ns),
+		srcMid:   make([]float64, ns),
+		srcEnd:   make([]float64, ns),
 		inflow:   make([]float64, nn),
 		pFull:    make([]float64, nn),
 		pHalf:    make([]float64, nn),
@@ -419,16 +444,19 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 
 		// Step-doubling error estimate on the pressure state: one full
 		// backward-Euler step vs two half steps; commit the halved
-		// result.
-		if err := s.beStep(t+dt, dt, p, st.pFull, st); err != nil {
+		// result. The two half steps share one factorization.
+		half := 0.5 * dt
+		s.sourceFlows(t+dt, st.srcEnd)
+		s.sourceFlows(t+half, st.srcMid)
+		if err := s.beStep(res, t+dt, dt, half, st.srcEnd, p, st.pFull, st); err != nil {
 			s.finalize(res, t, p, st)
 			return res, err
 		}
-		if err := s.beStep(t+0.5*dt, 0.5*dt, p, st.pHalf, st); err != nil {
+		if err := s.beStep(res, t+half, half, dt, st.srcMid, p, st.pHalf, st); err != nil {
 			s.finalize(res, t, p, st)
 			return res, err
 		}
-		if err := s.beStep(t+dt, 0.5*dt, st.pHalf, st.pHalf, st); err != nil {
+		if err := s.beStep(res, t+dt, half, dt, st.srcEnd, st.pHalf, st.pHalf, st); err != nil {
 			s.finalize(res, t, p, st)
 			return res, err
 		}
@@ -452,6 +480,7 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 		// then commit the pressures.
 		if s.species.Enabled {
 			s.flows(p, st.q)
+			s.sourceFlows(t, st.srcNow)
 			s.advect(res, t, dt, conc, st)
 		}
 		copy(p, st.pHalf)
@@ -499,17 +528,35 @@ func (s *System) Run(ctx context.Context, cfg Config, probes Probes) (*Result, e
 	return res, nil
 }
 
-// stepScratch holds the per-run work buffers so the stepper loop
-// allocates only inside the linear solver.
+// stepScratch holds the per-run work buffers, so the stepper loop
+// allocates nothing.
 type stepScratch struct {
-	q        []float64 // channel flows
-	rhs      []float64 // backward-Euler right-hand side
+	q   []float64      // channel flows
+	rhs []float64      // backward-Euler right-hand side
+	x   []float64      // backward-Euler solution
+	a   *linalg.Matrix // G + C/dt; only the diagonal is ever rewritten
+	// lus holds the factorizations of the last two step lengths: a
+	// full step and its half steps, or, after a rejection, the half
+	// step that the next full step reuses.
+	lus [2]factorSlot
+	// Source flows at the step's three instants: its start t (species
+	// advection), its midpoint and its end.
+	srcNow, srcMid, srcEnd []float64
+
 	inflow   []float64 // net volumetric inflow per node
 	pFull    []float64 // one full backward-Euler step
 	pHalf    []float64 // two half steps (committed)
 	nodeIn   []float64 // volumetric inflow rate per node
 	nodeMass []float64 // species mass inflow rate per node
 	nodeConc []float64 // resolved node concentration
+}
+
+// factorSlot is one cached factorization of G + C/dt, valid for
+// exactly the step length dt.
+type factorSlot struct {
+	lu linalg.LU
+	dt float64
+	ok bool
 }
 
 func newProbeSeries(probes, samples int) [][]float64 {
@@ -550,15 +597,18 @@ func (s *System) flows(p []float64, q []float64) {
 	}
 }
 
-// sourceFlow returns source i's flow at time t (nominal × profile).
-func (s *System) sourceFlow(i int, t float64) float64 {
-	return s.srcFlow[i] * s.profiles[i].Scale(t)
+// sourceFlows fills out with every source's flow at time t (nominal ×
+// profile).
+func (s *System) sourceFlows(t float64, out []float64) {
+	for i, f := range s.srcFlow {
+		out[i] = f * s.profiles[i].Scale(t)
+	}
 }
 
 // netInflow computes each node's net volumetric inflow (channels plus
-// sources at time t) into out, leaving the channel flows used in q.
+// the source flows src) into out, leaving the channel flows used in q.
 // In the transient model this equals the capacitor current C·dp/dt.
-func (s *System) netInflow(t float64, p, out, q []float64) {
+func (s *System) netInflow(src, p, out, q []float64) {
 	for i := range out {
 		out[i] = 0
 	}
@@ -567,8 +617,7 @@ func (s *System) netInflow(t float64, p, out, q []float64) {
 		out[s.chFrom[c]] -= f
 		out[s.chTo[c]] += f
 	}
-	for i := range s.srcFlow {
-		f := s.sourceFlow(i, t)
+	for i, f := range src {
 		if s.srcFrom[i] >= 0 {
 			out[s.srcFrom[i]] -= f
 		}
@@ -579,32 +628,21 @@ func (s *System) netInflow(t float64, p, out, q []float64) {
 }
 
 // beStep advances one backward-Euler step of length dt landing at time
-// tNew: it solves (C/dt + G)·p' = C/dt·p + b(tNew), where G is the
-// channel conductance Laplacian and b the source injections. The C/dt
+// tNew: it solves (C/dt + G)·p' = C/dt·p + b, where G is the channel
+// conductance Laplacian and b the source flows src at tNew. The C/dt
 // diagonal makes the system nonsingular without grounding a node — the
-// pressure DC level is pinned by charge conservation instead. pIn and
-// pOut may alias.
-func (s *System) beStep(tNew, dt float64, pIn, pOut []float64, st *stepScratch) error {
-	nn := len(s.cap)
-	a, err := linalg.NewMatrix(nn, nn)
+// pressure DC level is pinned by charge conservation instead. keep is
+// the attempt's other step length, whose factorization must survive.
+// pIn and pOut may alias.
+func (s *System) beStep(res *Result, tNew, dt, keep float64, src, pIn, pOut []float64, st *stepScratch) error {
+	lu, err := s.factor(res, dt, keep, st)
 	if err != nil {
-		return fmt.Errorf("dyn: assembling %d-node step system: %w", nn, err)
+		return fmt.Errorf("dyn: step solve at t=%.6g s: %w", tNew, err)
 	}
-	for c := range s.chCond {
-		f, t2 := s.chFrom[c], s.chTo[c]
-		g := s.chCond[c]
-		a.Add(f, f, g)
-		a.Add(t2, t2, g)
-		a.Add(f, t2, -g)
-		a.Add(t2, f, -g)
+	for i, c := range s.cap {
+		st.rhs[i] = c / dt * pIn[i]
 	}
-	for i := 0; i < nn; i++ {
-		ci := s.cap[i] / dt
-		a.Add(i, i, ci)
-		st.rhs[i] = ci * pIn[i]
-	}
-	for i := range s.srcFlow {
-		f := s.sourceFlow(i, tNew)
+	for i, f := range src {
 		if s.srcFrom[i] >= 0 {
 			st.rhs[s.srcFrom[i]] -= f
 		}
@@ -612,12 +650,37 @@ func (s *System) beStep(tNew, dt float64, pIn, pOut []float64, st *stepScratch) 
 			st.rhs[s.srcTo[i]] += f
 		}
 	}
-	x, err := linalg.Solve(a, st.rhs)
-	if err != nil {
+	if err := lu.SolveInto(st.x, st.rhs); err != nil {
 		return fmt.Errorf("dyn: step solve at t=%.6g s: %w", tNew, err)
 	}
-	copy(pOut, x)
+	copy(pOut, st.x)
 	return nil
+}
+
+// factor returns the factorization of G + C/dt. A slot keyed on the
+// exact step length is reused as is — the matrix is a pure function of
+// dt, so the reuse is bit-identical to refactoring. A miss refactors
+// the slot that does not hold keep.
+func (s *System) factor(res *Result, dt, keep float64, st *stepScratch) (*linalg.LU, error) {
+	for i := range st.lus {
+		if sl := &st.lus[i]; sl.ok && math.Float64bits(sl.dt) == math.Float64bits(dt) {
+			return &sl.lu, nil
+		}
+	}
+	sl := &st.lus[0]
+	if sl.ok && math.Float64bits(sl.dt) == math.Float64bits(keep) {
+		sl = &st.lus[1]
+	}
+	for i, c := range s.cap {
+		st.a.Set(i, i, s.g.At(i, i)+c/dt)
+	}
+	sl.ok = false
+	res.Factorizations++
+	if err := sl.lu.Refactor(st.a); err != nil {
+		return nil, err
+	}
+	sl.dt, sl.ok = dt, true
+	return &sl.lu, nil
 }
 
 // cflLimit returns the advection stability bound ½·min(V_cell/|q|)
@@ -671,8 +734,7 @@ func (s *System) advect(res *Result, t, dt float64, conc []float64, st *stepScra
 			st.nodeMass[s.chFrom[c]] += -f * conc[first]
 		}
 	}
-	for i := range s.srcFlow {
-		f := s.sourceFlow(i, t)
+	for i, f := range st.srcNow {
 		from, to := s.srcFrom[i], s.srcTo[i]
 		if f < 0 {
 			from, to = to, from
@@ -695,8 +757,7 @@ func (s *System) advect(res *Result, t, dt float64, conc []float64, st *stepScra
 	// Pass 2: node-to-node sources move liquid at the upstream node's
 	// pass-1 concentration; node-to-external sources extract at the
 	// final node concentration. Re-resolve nodes that gained inflow.
-	for i := range s.srcFlow {
-		f := s.sourceFlow(i, t)
+	for i, f := range st.srcNow {
 		from, to := s.srcFrom[i], s.srcTo[i]
 		if f < 0 {
 			from, to = to, from
@@ -712,8 +773,7 @@ func (s *System) advect(res *Result, t, dt float64, conc []float64, st *stepScra
 			st.nodeConc[i] = st.nodeMass[i] / st.nodeIn[i]
 		}
 	}
-	for i := range s.srcFlow {
-		f := s.sourceFlow(i, t)
+	for i, f := range st.srcNow {
 		from, to := s.srcFrom[i], s.srcTo[i]
 		if f < 0 {
 			from, to = to, from
@@ -729,7 +789,7 @@ func (s *System) advect(res *Result, t, dt float64, conc []float64, st *stepScra
 	// Without this term the ledger would leak during every transient.
 	// The imbalance must come from the same flow field the advection
 	// uses (st.q plus sources at t), or the ledger would not close.
-	s.imbalance(t, st)
+	s.imbalance(st)
 	for i := range st.nodeConc {
 		res.Stored += dt * st.inflow[i] * st.nodeConc[i]
 	}
@@ -769,10 +829,10 @@ func (s *System) advect(res *Result, t, dt float64, conc []float64, st *stepScra
 }
 
 // imbalance computes each node's net inflow into st.inflow from the
-// advection flow field already in st.q plus the sources at time t —
+// advection flow field already in st.q plus the sources in st.srcNow —
 // deliberately NOT recomputing flows, so the species ledger and the
 // advection pass see the identical field.
-func (s *System) imbalance(t float64, st *stepScratch) {
+func (s *System) imbalance(st *stepScratch) {
 	for i := range st.inflow {
 		st.inflow[i] = 0
 	}
@@ -780,8 +840,7 @@ func (s *System) imbalance(t float64, st *stepScratch) {
 		st.inflow[s.chFrom[c]] -= f
 		st.inflow[s.chTo[c]] += f
 	}
-	for i := range s.srcFlow {
-		f := s.sourceFlow(i, t)
+	for i, f := range st.srcNow {
 		if s.srcFrom[i] >= 0 {
 			st.inflow[s.srcFrom[i]] -= f
 		}
@@ -839,7 +898,8 @@ func (s *System) finalize(res *Result, t float64, p []float64, st *stepScratch) 
 	res.SimulatedTime = t
 	copy(res.FinalPressures, p)
 	s.flows(p, res.FinalFlows)
-	s.netInflow(t, p, st.inflow, st.q)
+	s.sourceFlows(t, st.srcNow)
+	s.netInflow(st.srcNow, p, st.inflow, st.q)
 	var mx float64
 	for _, d := range st.inflow {
 		if a := math.Abs(d); a > mx {

@@ -477,3 +477,113 @@ func TestRampStartupDelaysSteadyState(t *testing.T) {
 		t.Errorf("post-ramp flow %g, want ≈ %g", flows[len(flows)-1], q)
 	}
 }
+
+// TestRunAllocsIndependentOfSteps is the allocation gate: a run ten
+// times longer at the same sample count allocates exactly as often, so
+// nothing in the stepper loop allocates.
+func TestRunAllocsIndependentOfSteps(t *testing.T) {
+	const nodes, r, q = 4, 2.0, 3.0
+	pulse := Profile{Kind: ProfilePulse, Amplitude: 0.5, Period: 0.25}
+	sp := Species{Enabled: true, DoseConcentration: 1, DoseDuration: 10, ArrivalThreshold: 0.1}
+	sys, err := Compile(chain(t, nodes, r, q), uniform(nodes, 0.01), uniformProps(nodes-1, 0.1, 4), []Profile{pulse, pulse}, sp)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	probes := Probes{
+		Nodes:    []netlist.NodeID{0, 3},
+		Channels: []netlist.ChannelID{0, 2},
+		Species:  []netlist.ChannelID{0, 1, 2},
+	}
+	measure := func(duration float64) (float64, *Result) {
+		cfg := DefaultConfig()
+		cfg.Duration = duration
+		cfg.SampleEvery = duration / 4
+		var res *Result
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if res, err = sys.Run(context.Background(), cfg, probes); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		})
+		return allocs, res
+	}
+	shortAllocs, short := measure(1)
+	longAllocs, long := measure(10)
+	if long.Steps < 5*short.Steps {
+		t.Fatalf("the long run took %d steps against %d: too few to expose per-step allocation", long.Steps, short.Steps)
+	}
+	//ooclint:ignore floatcmp AllocsPerRun returns whole counts
+	if longAllocs != shortAllocs {
+		t.Errorf("%d steps allocated %v times per run, %d steps %v times: the stepper allocates per step",
+			long.Steps, longAllocs, short.Steps, shortAllocs)
+	}
+}
+
+// TestFactorizationsReused: once the start-up transient has settled,
+// steps capped at MaxStep reuse the two cached factorizations and
+// refactor nothing; the half steps of an attempt always share one. A
+// single sample interval keeps boundary clipping, whose step lengths
+// are new each time, out of the stretch.
+func TestFactorizationsReused(t *testing.T) {
+	const nodes, r, q = 4, 2.0, 3.0
+	sys, err := Compile(chain(t, nodes, r, q), uniform(nodes, 0.01), uniformProps(nodes-1, 0.5, 4), constProfiles(2), Species{})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	cfg := DefaultConfig()
+	run := func(duration float64) *Result {
+		cfg.Duration = duration
+		cfg.SampleEvery = duration
+		res, err := sys.Run(context.Background(), cfg, Probes{})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return res
+	}
+	short, long := run(1), run(10)
+	if long.Factorizations != short.Factorizations {
+		t.Errorf("9 s of MaxStep-capped steps refactored %d times, want 0", long.Factorizations-short.Factorizations)
+	}
+	if attempts := short.Steps + short.RejectedSteps; short.Factorizations > 2*attempts {
+		t.Errorf("%d factorizations for %d attempts: the half steps do not share one", short.Factorizations, attempts)
+	}
+}
+
+// TestConcurrentRunsShareSystem: a compiled System is read-only, so
+// concurrent Runs on it match a serial one exactly.
+func TestConcurrentRunsShareSystem(t *testing.T) {
+	const nodes, r, q = 4, 2.0, 3.0
+	pulse := Profile{Kind: ProfilePulse, Amplitude: 0.4, Period: 0.3}
+	sp := Species{Enabled: true, DoseConcentration: 2, DoseDuration: 5, ArrivalThreshold: 0.1}
+	sys, err := Compile(chain(t, nodes, r, q), uniform(nodes, 0.01), uniformProps(nodes-1, 0.5, 4), []Profile{pulse, pulse}, sp)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.Duration = 0.5
+	probes := Probes{Nodes: []netlist.NodeID{0}, Species: []netlist.ChannelID{2}}
+	want, err := sys.Run(context.Background(), cfg, probes)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	results := make([]*Result, 2)
+	errs := make([]error, 2)
+	done := make(chan struct{})
+	for i := range results {
+		go func(i int) {
+			results[i], errs[i] = sys.Run(context.Background(), cfg, probes)
+			done <- struct{}{}
+		}(i)
+	}
+	for range results {
+		<-done
+	}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("concurrent Run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("concurrent Run %d differs from the serial run", i)
+		}
+	}
+}

@@ -106,7 +106,10 @@ func (m *Matrix) MaxAbs() float64 {
 	return mx
 }
 
-// LU holds an LU factorization with partial pivoting: P·A = L·U.
+// LU holds an LU factorization with partial pivoting: P·A = L·U. The
+// zero value holds no factorization; Refactor fills it. sign is ±1
+// for a valid factorization and 0 otherwise, so a failed Refactor
+// cannot leave a half-eliminated matrix usable.
 type LU struct {
 	lu   *Matrix
 	piv  []int
@@ -116,12 +119,30 @@ type LU struct {
 // Factorize computes the LU factorization of the square matrix a with
 // partial pivoting. The input is not modified.
 func Factorize(a *Matrix) (*LU, error) {
+	f := &LU{}
+	if err := f.Refactor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor computes the LU factorization of the square matrix a into
+// f's existing storage, reallocating only when the size changes, so a
+// caller that refactors a same-sized system repeatedly allocates
+// nothing. The input is not modified. On error f holds no
+// factorization until the next successful Refactor.
+func (f *LU) Refactor(a *Matrix) error {
+	f.sign = 0
 	if a.rows != a.cols {
-		return nil, fmt.Errorf("%w: LU of %dx%d", ErrShape, a.rows, a.cols)
+		return fmt.Errorf("%w: LU of %dx%d", ErrShape, a.rows, a.cols)
 	}
 	n := a.rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	if f.lu == nil || f.lu.rows != n {
+		f.lu = &Matrix{rows: n, cols: n, data: make([]float64, n*n)}
+		f.piv = make([]int, n)
+	}
+	lu, piv := f.lu, f.piv
+	copy(lu.data, a.data)
 	for i := range piv {
 		piv[i] = i
 	}
@@ -135,7 +156,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 		if mx == 0 {
-			return nil, fmt.Errorf("%w: zero pivot in column %d", ErrSingular, k)
+			return fmt.Errorf("%w: zero pivot in column %d", ErrSingular, k)
 		}
 		if p != k {
 			rk := lu.data[k*n : (k+1)*n]
@@ -160,16 +181,30 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 // Solve solves A·x = b using the factorization.
 func (f *LU) Solve(b []float64) ([]float64, error) {
-	n := f.lu.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: system of size %d, rhs of length %d", ErrShape, n, len(b))
+	x := make([]float64, len(b))
+	if err := f.SolveInto(x, b); err != nil {
+		return nil, err
 	}
-	x := make([]float64, n)
+	return x, nil
+}
+
+// SolveInto solves A·x = b into the caller-owned x, allocating
+// nothing. x and b must have the system's size and must not share
+// storage.
+func (f *LU) SolveInto(x, b []float64) error {
+	if f.sign == 0 {
+		return fmt.Errorf("%w: no factorization to solve with", ErrSingular)
+	}
+	n := f.lu.rows
+	if len(b) != n || len(x) != n {
+		return fmt.Errorf("%w: system of size %d, rhs of length %d, solution of length %d", ErrShape, n, len(b), len(x))
+	}
 	// Apply the permutation.
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
@@ -192,15 +227,19 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		}
 		d := row[i]
 		if d == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] = (x[i] - s) / d
 	}
-	return x, nil
+	return nil
 }
 
-// Det returns the determinant of the factorized matrix.
+// Det returns the determinant of the factorized matrix, or NaN when f
+// holds no factorization.
 func (f *LU) Det() float64 {
+	if f.sign == 0 {
+		return math.NaN()
+	}
 	d := float64(f.sign)
 	n := f.lu.rows
 	for i := 0; i < n; i++ {

@@ -246,3 +246,156 @@ func TestMatrixAddAndMaxAbs(t *testing.T) {
 		t.Fatalf("MaxAbs: got %g", m.MaxAbs())
 	}
 }
+
+// randomGeneral fills an n×n matrix with standard-normal entries: no
+// diagonal dominance, so elimination pivots on almost every column.
+func randomGeneral(rng *rand.Rand, n int) *Matrix {
+	m := &Matrix{rows: n, cols: n, data: make([]float64, n*n)}
+	for i := range m.data {
+		m.data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// sameLU reports whether two factorizations agree bit for bit.
+func sameLU(a, b *LU) bool {
+	if a.sign != b.sign || a.lu.rows != b.lu.rows || len(a.piv) != len(b.piv) {
+		return false
+	}
+	for i := range a.piv {
+		if a.piv[i] != b.piv[i] {
+			return false
+		}
+	}
+	for i := range a.lu.data {
+		if math.Float64bits(a.lu.data[i]) != math.Float64bits(b.lu.data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRefactorMatchesFactorize: refactoring into storage that held a
+// different factorization (other pivots, other values) gives the same
+// bits as a fresh Factorize, and so does the solve.
+func TestRefactorMatchesFactorize(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	swap := mustMatrix(t, 3, 3) // zero diagonal: every column pivots
+	swap.Set(0, 1, 1)
+	swap.Set(1, 2, 2)
+	swap.Set(2, 0, 3)
+	cases := []*Matrix{swap, randomGeneral(rng, 3), randomDiagDominant(rng, 3), randomGeneral(rng, 3)}
+	var f LU
+	for k, a := range cases {
+		if err := f.Refactor(a); err != nil {
+			t.Fatalf("case %d: Refactor: %v", k, err)
+		}
+		fresh, err := Factorize(a)
+		if err != nil {
+			t.Fatalf("case %d: Factorize: %v", k, err)
+		}
+		if !sameLU(&f, fresh) {
+			t.Fatalf("case %d: refactored LU differs from a fresh factorization", k)
+		}
+		b := []float64{1, -2, 0.5}
+		x := make([]float64, 3)
+		if err := f.SolveInto(x, b); err != nil {
+			t.Fatalf("case %d: SolveInto: %v", k, err)
+		}
+		want, err := fresh.Solve(b)
+		if err != nil {
+			t.Fatalf("case %d: Solve: %v", k, err)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d: x[%d] = %v, fresh solve gives %v", k, i, x[i], want[i])
+			}
+		}
+	}
+}
+
+// TestRefactorReusesStorage: a same-size refactor and solve allocate
+// nothing; a size change reallocates and still factors correctly.
+func TestRefactorReusesStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a4, a6 := randomGeneral(rng, 4), randomGeneral(rng, 6)
+	var f LU
+	if err := f.Refactor(a4); err != nil {
+		t.Fatal(err)
+	}
+	data := &f.lu.data[0]
+	x, b := make([]float64, 4), []float64{1, 2, 3, 4}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := f.Refactor(a4); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("same-size Refactor+SolveInto allocated %v times per run, want 0", allocs)
+	}
+	if &f.lu.data[0] != data {
+		t.Error("same-size Refactor replaced the LU storage")
+	}
+
+	if err := f.Refactor(a6); err != nil {
+		t.Fatal(err)
+	}
+	if f.lu.rows != 6 || len(f.lu.data) != 36 || len(f.piv) != 6 {
+		t.Fatalf("after a 4→6 refactor the LU is %dx%d with %d pivots", f.lu.rows, f.lu.cols, len(f.piv))
+	}
+	fresh, err := Factorize(a6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameLU(&f, fresh) {
+		t.Error("resized LU differs from a fresh factorization")
+	}
+}
+
+// TestRefactorSingular: a singular matrix still reports ErrSingular,
+// and the LU it leaves behind refuses to solve rather than reuse the
+// previous factorization.
+func TestRefactorSingular(t *testing.T) {
+	var f LU
+	if err := f.Refactor(mustIdentity(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	sing := mustMatrix(t, 2, 2)
+	sing.Set(0, 0, 1)
+	sing.Set(0, 1, 2)
+	sing.Set(1, 0, 2)
+	sing.Set(1, 1, 4)
+	if err := f.Refactor(sing); !errors.Is(err, ErrSingular) {
+		t.Fatalf("Refactor of a singular matrix: want ErrSingular, got %v", err)
+	}
+	if err := f.SolveInto(make([]float64, 2), []float64{1, 2}); !errors.Is(err, ErrSingular) {
+		t.Errorf("SolveInto after a failed Refactor: want ErrSingular, got %v", err)
+	}
+	if d := f.Det(); !math.IsNaN(d) {
+		t.Errorf("Det after a failed Refactor = %g, want NaN", d)
+	}
+	var zero LU
+	if err := zero.SolveInto(make([]float64, 2), []float64{1, 2}); !errors.Is(err, ErrSingular) {
+		t.Errorf("SolveInto on the zero LU: want ErrSingular, got %v", err)
+	}
+}
+
+func TestSolveIntoShapeErrors(t *testing.T) {
+	f, err := Factorize(mustIdentity(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SolveInto(make([]float64, 3), []float64{1, 2}); !errors.Is(err, ErrShape) {
+		t.Errorf("SolveInto short rhs: want ErrShape, got %v", err)
+	}
+	if err := f.SolveInto(make([]float64, 4), []float64{1, 2, 3}); !errors.Is(err, ErrShape) {
+		t.Errorf("SolveInto long solution: want ErrShape, got %v", err)
+	}
+	var g LU
+	if err := g.Refactor(mustMatrix(t, 2, 3)); !errors.Is(err, ErrShape) {
+		t.Errorf("Refactor non-square: want ErrShape, got %v", err)
+	}
+}

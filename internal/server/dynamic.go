@@ -14,13 +14,15 @@ import (
 	"ooc/internal/sim"
 )
 
-// dynStepCost is the coarse per-step wall-clock estimate behind the
-// admission gate: three dense LU solves of the ~15-node pressure
-// system plus the advection sweep. Deliberately a lower bound — the
-// gate rejects only requests that cannot possibly finish; anything it
-// admits still runs under the deadline and surfaces a 504 if the
-// estimate was optimistic.
-const dynStepCost = 20 * time.Microsecond
+// dynStepCost is the per-step wall-clock floor behind the admission
+// gate. It is deliberately a lower bound: the gate rejects only
+// requests that cannot possibly finish; anything it admits still runs
+// under the deadline and surfaces a 504 if the estimate was
+// optimistic. The cheapest request is a constant-pump run without
+// species: a 10 s Fig. 4 run (1,000 minimum, 1,114 actual steps) takes
+// 1.8–2.1 ms end to end in ValidateDynamic on a 2-vCPU x86-64 VM, about
+// 1.7 µs per step, so 1 µs stays below it with margin for faster hosts.
+const dynStepCost = time.Microsecond
 
 // dynamicQueryKeys are the /v1/validate query parameters that only
 // mean something under ?model=dynamic.

@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"ooc/internal/sim"
 )
 
 // TestValidateDynamicEndpoint exercises the transient tier end to end
@@ -131,6 +134,36 @@ func TestValidateDynamicBadRequests(t *testing.T) {
 			}
 			if !strings.Contains(string(raw), tc.wantSubstr) {
 				t.Errorf("%s: error %s does not mention %q", tc.query, raw, tc.wantSubstr)
+			}
+		})
+	}
+}
+
+// TestCheckDynamicBudget pins the admission gate to the measured
+// per-step floor: a day-long span in a 1 s budget is still refused,
+// while a 10 s Fig. 4 run in a 12 ms budget, which the former 20 µs
+// per-step estimate refused although it runs in about 2 ms, is
+// admitted.
+func TestCheckDynamicBudget(t *testing.T) {
+	cases := []struct {
+		name             string
+		duration, budget time.Duration
+		admit            bool
+	}{
+		{"duration=24h&timeout=1s", 24 * time.Hour, time.Second, false},
+		{"duration=10s in 12ms", 10 * time.Second, 12 * time.Millisecond, true},
+		{"duration=10s in 500µs", 10 * time.Second, 500 * time.Microsecond, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := sim.DefaultDynamicOptions()
+			o.Duration = tc.duration
+			err := checkDynamicBudget(o, tc.budget)
+			if tc.admit && err != nil {
+				t.Errorf("%s refused: %v", tc.name, err)
+			}
+			if !tc.admit && err == nil {
+				t.Errorf("%s admitted, want a refusal", tc.name)
 			}
 		})
 	}

@@ -510,10 +510,13 @@ func TestGracefulDrain(t *testing.T) {
 	// New connections are refused once the listener closes.
 	refusedBy := time.Now().Add(5 * time.Second)
 	for {
-		_, err := (&net.Dialer{}).Dial("tcp", ln.Addr().String())
+		conn, err := (&net.Dialer{}).Dial("tcp", ln.Addr().String())
 		if err != nil {
 			break
 		}
+		// A connection that never sends a request stays in StateNew,
+		// which Shutdown waits on for 5 s before counting it idle.
+		_ = conn.Close()
 		if time.Now().After(refusedBy) {
 			t.Fatal("listener still accepting after drain began")
 		}

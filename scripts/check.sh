@@ -51,10 +51,10 @@ step test go test -race ./...
 step ooclint go run ./cmd/ooclint ./...
 
 # Smoke-run the headline benchmarks once (-benchtime=1x): catches
-# bit-rot in the parallel evaluation path and the cross-section cache
-# without paying for a full measurement run.
+# bit-rot in the parallel evaluation path, the cross-section cache and
+# the transient stepper without paying for a full measurement run.
 bench_smoke() {
-    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached' -benchtime=1x .
+    go test -run '^$' -bench 'BenchmarkTableIParallel|BenchmarkCrossSectionCached|BenchmarkDynamic' -benchtime=1x .
 }
 step bench-smoke bench_smoke
 
